@@ -1,8 +1,10 @@
 // Receiver-driven congestion control on shared bottlenecks — the adaptation
 // experiment Figures 7-8 and Section 7.2 sketch but the paper's testbed was
 // too small to show: heterogeneous groups of loss-driven receivers
-// (cc::LossDrivenPolicy) behind engine::SharedBottleneck queues, where the
-// aggregate subscribed rate of a group determines everyone's queueing loss.
+// (cc::LossDrivenPolicy) behind engine::SharedBottleneck queues — each
+// receiver reaches its group's queue through a one-edge engine::PathLink —
+// where the aggregate subscribed rate of a group determines everyone's
+// queueing loss.
 //
 // Two groups share one 4-layer FountainServer session: a narrow bottleneck
 // whose fair share sits at level 1 and a wide one whose fair share sits at
@@ -30,6 +32,7 @@
 #include "cc/policies.hpp"
 #include "cc/trace.hpp"
 #include "engine/session.hpp"
+#include "engine/topology.hpp"
 #include "fec/codec_registry.hpp"
 #include "proto/server.hpp"
 
@@ -91,8 +94,9 @@ ScenarioRun run_scenario(const fec::ErasureCode& code,
       // Heterogeneous private tails on top of the shared queue.
       const double base_loss = 0.01 * rng.uniform();
       session.subscribe(id, src,
-                        std::make_unique<engine::BottleneckLink>(
-                            queue, 0xb077ULL + 131 * rx, base_loss));
+                        std::make_unique<engine::PathLink>(
+                            std::vector{queue}, 0xb077ULL + 131 * rx,
+                            base_loss));
     }
   }
 

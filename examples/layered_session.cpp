@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   // The paper's prototype encoding: ~2 MB -> 8264 packets of 500 bytes.
   // Described purely by registry parameters — exactly what a server would
-  // advertise on its control channel (run_session instantiates the code).
+  // advertise on its control channel; the registry instantiates the code.
   fec::CodecParams params;
   params.k = 4132;
   params.symbol_size = 500;
@@ -46,15 +46,19 @@ int main(int argc, char** argv) {
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
 
-  // One shared last-mile queue for the loss-driven half of the population:
-  // capacity ~1.3x what the group needs to sit at level 1 together, so the
-  // group's fair share lands between levels 1 and 2.
+  // One shared last-mile queue for the loss-driven half of the population —
+  // a one-edge network, server at node 0, the group behind node 1: capacity
+  // ~1.3x what the group needs to sit at level 1 together, so the group's
+  // fair share lands between levels 1 and 2.
   const std::size_t shared_count = receivers / 2;
   const double level1_rate = 2.0 * (2.0 * k) / 8.0;  // n * level_rate(1) / B
-  std::vector<proto::BottleneckSpec> bottlenecks;
-  bottlenecks.push_back(proto::BottleneckSpec{
+  const double capacity =
       1.3 * static_cast<double>(shared_count == 0 ? 1 : shared_count) *
-      level1_rate});
+      level1_rate;
+  proto::TopologySpec network;
+  network.root = network.topology.add_node();
+  const engine::NodeId leaf = network.topology.add_node();
+  network.topology.add_edge(network.root, leaf, capacity);
 
   std::vector<proto::SimClientConfig> clients;
   util::Rng rng(11);
@@ -67,7 +71,7 @@ int main(int argc, char** argv) {
     if (i < shared_count) {
       // Loss-driven receiver on the shared queue, light private tail loss.
       c.loss_driven = true;
-      c.bottleneck = 0;
+      c.leaf = static_cast<int>(leaf);
       c.base_loss = 0.01 * rng.uniform();
     } else {
       // Burst-probe receiver on its private channel, drifting capacity.
@@ -81,31 +85,33 @@ int main(int argc, char** argv) {
   std::printf("layered digital fountain: %zu receivers (%zu loss-driven on a "
               "shared %.0f pkt/round bottleneck, %zu burst-probe), 4 layers, "
               "k = %zu packets of 500 B (n = %zu)\n\n",
-              receivers, shared_count, bottlenecks[0].capacity,
+              receivers, shared_count, capacity,
               receivers - shared_count, k, 2 * k);
   const auto code = fec::CodecRegistry::builtin().create(
       fec::CodecId::kTornado, params);
-  const auto result = proto::run_session(*code, cfg, clients, bottlenecks, 3,
-                                         max_rounds, threads);
+  const auto reports = proto::run_session(*code, cfg, clients, 3, max_rounds,
+                                          threads, &network);
 
   std::printf("%-4s %-11s %6s %9s %7s %6s %8s %8s %8s %10s\n", "rx", "policy",
               "join", "loss(%)", "moves", "level", "eta_d", "eta_c", "eta",
               "rounds");
-  for (std::size_t i = 0; i < result.receivers.size(); ++i) {
-    const auto& r = result.receivers[i];
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const auto& r = reports[i];
     std::printf("%-4zu %-11s %6llu %9.1f %7u %6u %8.3f %8.3f %8.3f %10llu%s\n",
                 i, clients[i].loss_driven ? "loss-driven" : "burst-probe",
                 static_cast<unsigned long long>(clients[i].join),
-                100.0 * r.observed_loss, r.level_changes, r.final_level,
-                r.eta_d, r.eta_c, r.eta,
-                static_cast<unsigned long long>(r.rounds_to_complete),
+                100.0 * r.observed_loss(), r.level_changes, r.final_level,
+                r.distinctness_efficiency(), r.coding_efficiency(k),
+                r.efficiency(k),
+                static_cast<unsigned long long>(
+                    r.completed ? r.completed_at + 1 : 0),
                 r.completed ? "" : " (incomplete)");
   }
 
   double worst_eta = 1.0;
   bool all_done = true;
-  for (const auto& r : result.receivers) {
-    worst_eta = std::min(worst_eta, r.eta);
+  for (const auto& r : reports) {
+    worst_eta = std::min(worst_eta, r.efficiency(k));
     all_done = all_done && r.completed;
   }
   std::printf("\n%s; worst total efficiency %.3f\n",

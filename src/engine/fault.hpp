@@ -53,7 +53,7 @@ struct FaultProfile {
 /// stream advances exactly as it would undecorated); packets the inner link
 /// delivers then suffer at most one fault drawn from the decorator's own
 /// generator, seeded at construction. Rate declarations and shared-state
-/// identity pass through, so a FaultLink can wrap a BottleneckLink without
+/// identity pass through, so a FaultLink can wrap a PathLink without
 /// changing cohort-confinement rules.
 class FaultLink final : public LinkModel {
  public:

@@ -25,7 +25,6 @@
 
 #include "engine/types.hpp"
 #include "net/loss.hpp"
-#include "util/random.hpp"
 
 namespace fountain::engine {
 
@@ -38,11 +37,6 @@ class LinkModel {
   /// FaultKind. `now` is non-decreasing across calls within one receiver's
   /// lifetime.
   virtual Verdict transfer(Time now) = 0;
-
-  /// Boolean convenience over transfer(): did the packet arrive intact and
-  /// on time? (The pre-fault-plane interface; every call advances the
-  /// channel exactly like transfer().)
-  bool deliver(Time now) { return transfer(now).kind == FaultKind::kDeliver; }
 
   /// Informs the link of the subscriber's current offered rate through it,
   /// in packets per tick. The engine calls this whenever the receiver's
@@ -102,11 +96,12 @@ class LossLink final : public LinkModel {
 ///
 ///   loss = max(0, (offered - capacity) / offered).
 ///
-/// Create one per bottleneck, attach each subscription through a
-/// BottleneckLink, and let the engine keep the rates current. All receivers
-/// attached to one bottleneck must run in the same engine cohort
-/// (Session::run validates this), which also makes the object shard-local
-/// under the parallel engine: exactly one worker thread ever mutates it.
+/// Create one per bottleneck (make_edge_queues does so per topology edge),
+/// attach each subscription through a PathLink (engine/topology.hpp), and
+/// let the engine keep the rates current. All receivers attached to one
+/// bottleneck must run in the same engine cohort (Session::run validates
+/// this), which also makes the object shard-local under the parallel
+/// engine: exactly one worker thread ever mutates it.
 /// Rates return to zero as members finish, so the object is clean for
 /// reuse by construction.
 class SharedBottleneck {
@@ -138,31 +133,6 @@ class SharedBottleneck {
   double offered_ = 0.0;
   double peak_offered_ = 0.0;
   std::vector<double> rates_;
-};
-
-/// One subscription's path through a SharedBottleneck: queueing loss from
-/// the shared fluid queue, optionally compounded with an independent
-/// Bernoulli `base_loss` (the subscriber's private tail link). Drop draws
-/// come from a per-link generator seeded at construction, so results do not
-/// depend on the order receivers are processed within a tick.
-class BottleneckLink final : public LinkModel {
- public:
-  /// Throws std::invalid_argument on a null bottleneck or base_loss
-  /// outside [0, 1].
-  BottleneckLink(std::shared_ptr<SharedBottleneck> bottleneck,
-                 std::uint64_t seed, double base_loss = 0.0);
-
-  Verdict transfer(Time now) override;
-  void set_subscriber_rate(double packets_per_tick) override {
-    bottleneck_->set_rate(slot_, packets_per_tick);
-  }
-  const void* shared_state() const override { return bottleneck_.get(); }
-
- private:
-  std::shared_ptr<SharedBottleneck> bottleneck_;
-  std::uint32_t slot_;
-  double base_loss_;
-  util::Rng rng_;
 };
 
 }  // namespace fountain::engine

@@ -1,13 +1,12 @@
 // The topology plane: the link layer generalized from one shared queue to a
 // *path of composed links* over an explicit network graph.
 //
-// Every congestion scenario before this file ran over a single
-// SharedBottleneck — one fluid queue between the sender and a group of
-// receivers. Real multicast distribution crosses a tree (or a scale-free
-// mesh) of heterogeneous links: a receiver's packets traverse several shared
-// edges, loss compounds multiplicatively along the path, and the *narrowest*
-// shared edge — wherever it sits on the path — governs the receiver's fair
-// share. Topology describes such a graph (nodes, directed capacitated edges
+// The simplest congestion scenario is a single SharedBottleneck — one fluid
+// queue between the sender and a group of receivers, i.e. a one-edge path.
+// Real multicast distribution crosses a tree (or a scale-free mesh) of
+// heterogeneous links: a receiver's packets traverse several shared edges,
+// loss compounds multiplicatively along the path, and the *narrowest* shared
+// edge — wherever it sits on the path — governs the receiver's fair share. Topology describes such a graph (nodes, directed capacitated edges
 // with an RTT), ships deterministic generators for k-ary bottleneck trees
 // and Barabási–Albert scale-free graphs, and PathLink chains one
 // SharedBottleneck per traversed edge into a single LinkModel.
@@ -18,8 +17,8 @@
 // end-to-end delivery is Π(1 - p_e), optionally compounded with the
 // subscriber's private tail loss b. PathLink folds the product
 // incrementally (p ← p_e + p - p_e·p, starting from b) and spends exactly
-// one RNG draw per packet, which makes a one-edge path bit-identical to the
-// legacy BottleneckLink — arithmetic, draw count, and seed layout all match.
+// one RNG draw per packet, so a one-edge path draws chance(q + b - q·b) per
+// packet from util::Rng(seed) — the closed form test_topology pins.
 //
 // Threading contract (extends engine/link.hpp). A PathLink loads *every*
 // edge queue on its path with its subscriber's rate, so all receivers whose
@@ -138,9 +137,8 @@ class Topology {
 /// The link attaches one subscriber slot to every queue at construction and
 /// declares the subscriber's rate to all of them, so a receiver's
 /// subscription loads each edge it traverses. Drop draws come from one
-/// per-link generator seeded at construction — order-independent within a
-/// tick, and over a single edge bit-identical to BottleneckLink(queue, seed,
-/// base_loss) by construction (see the header comment).
+/// per-link generator seeded at construction, so verdicts are
+/// order-independent within a tick (see the header comment for the math).
 class PathLink final : public LinkModel {
  public:
   /// Throws std::invalid_argument on an empty path, a null queue, or
@@ -178,8 +176,7 @@ std::vector<std::shared_ptr<SharedBottleneck>> make_edge_queues(
 
 /// A PathLink for the deterministic `from` → `to` path over queues from
 /// make_edge_queues. `model_latency` sums the traversed edges' rtt into the
-/// link's delivery latency; leave it false for loss-only studies (and for
-/// bit-compatibility with BottleneckLink over one edge).
+/// link's delivery latency; leave it false for loss-only studies.
 std::unique_ptr<PathLink> make_path_link(
     const Topology& topology,
     const std::vector<std::shared_ptr<SharedBottleneck>>& queues, NodeId from,

@@ -8,6 +8,9 @@
 
 namespace fountain::proto {
 
+namespace {
+
+// Translates one client's knobs into the engine policy it runs under.
 engine::SubscriptionPolicy make_policy(const SimClientConfig& client,
                                        const ProtocolConfig& proto,
                                        std::uint64_t seed) {
@@ -23,36 +26,13 @@ engine::SubscriptionPolicy make_policy(const SimClientConfig& client,
   return policy;
 }
 
-SessionResult run_session(fec::CodecId codec, const fec::CodecParams& params,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads) {
-  const auto code = fec::CodecRegistry::builtin().create(codec, params);
-  return run_session(*code, proto, clients, seed, max_rounds, threads);
-}
+}  // namespace
 
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads) {
-  return run_session(code, proto, clients, std::vector<BottleneckSpec>{},
-                     seed, max_rounds, threads);
-}
-
-namespace {
-
-// One body behind both the bottleneck-list and the topology overloads; the
-// bottleneck path (topology == nullptr) is untouched arithmetic, so legacy
-// scenarios stay byte-identical.
-SessionResult run_session_impl(const fec::ErasureCode& code,
-                               const ProtocolConfig& proto,
-                               const std::vector<SimClientConfig>& clients,
-                               const std::vector<BottleneckSpec>& bottlenecks,
-                               const TopologySpec* topology,
-                               std::uint64_t seed, std::uint64_t max_rounds,
-                               std::size_t threads) {
+std::vector<engine::ReceiverReport> run_session(
+    const fec::ErasureCode& code, const ProtocolConfig& proto,
+    const std::vector<SimClientConfig>& clients, std::uint64_t seed,
+    std::uint64_t max_rounds, std::size_t threads,
+    const TopologySpec* network) {
   engine::SessionConfig engine_config;
   engine_config.horizon = max_rounds;
   engine_config.threads = threads;
@@ -60,26 +40,17 @@ SessionResult run_session_impl(const fec::ErasureCode& code,
   const auto server = std::make_shared<FountainServer>(proto, code, 0x5eed);
   const engine::SourceId source = session.add_source(server);
 
-  std::vector<std::shared_ptr<engine::SharedBottleneck>> queues;
-  queues.reserve(bottlenecks.size());
-  for (const BottleneckSpec& spec : bottlenecks) {
-    queues.push_back(std::make_shared<engine::SharedBottleneck>(spec.capacity));
-  }
   // Edge queues are materialized once and shared by every PathLink, so
   // receivers whose root → leaf paths overlap couple through the same
   // fluid queues.
   std::vector<std::shared_ptr<engine::SharedBottleneck>> edge_queues;
-  if (topology != nullptr) {
-    edge_queues = engine::make_edge_queues(topology->topology);
+  if (network != nullptr) {
+    edge_queues = engine::make_edge_queues(network->topology);
   }
 
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const SimClientConfig& client = clients[i];
-    if (client.leaf >= 0 && client.bottleneck >= 0) {
-      throw std::invalid_argument(
-          "run_session: a client may set leaf or bottleneck, not both");
-    }
-    if (client.leaf >= 0 && topology == nullptr) {
+    if (client.leaf >= 0 && network == nullptr) {
       throw std::invalid_argument(
           "run_session: client names a topology leaf but the session has "
           "no TopologySpec");
@@ -96,7 +67,7 @@ SessionResult run_session_impl(const fec::ErasureCode& code,
       spec.controller =
           std::make_unique<cc::LossDrivenPolicy>(client.loss_driven_config);
     }
-    if (client.bottleneck >= 0 || client.leaf >= 0) {
+    if (client.leaf >= 0) {
       // Real congestion comes from the shared queue(s); the synthetic
       // capacity-drift environment would double-count it.
       spec.policy.capacity_change_prob = 0.0;
@@ -105,22 +76,16 @@ SessionResult run_session_impl(const fec::ErasureCode& code,
     const engine::ReceiverId id = session.add_receiver(std::move(spec));
     if (client.leaf >= 0) {
       if (static_cast<std::size_t>(client.leaf) >=
-          topology->topology.node_count()) {
+          network->topology.node_count()) {
         throw std::out_of_range("run_session: client leaf is not a node");
       }
       session.subscribe(
           id, source,
-          engine::make_path_link(topology->topology, edge_queues,
-                                 topology->root,
+          engine::make_path_link(network->topology, edge_queues,
+                                 network->root,
                                  static_cast<engine::NodeId>(client.leaf),
                                  rx_seed, client.base_loss,
-                                 topology->model_latency));
-    } else if (client.bottleneck >= 0) {
-      const auto& queue =
-          queues.at(static_cast<std::size_t>(client.bottleneck));
-      session.subscribe(id, source,
-                        std::make_unique<engine::BottleneckLink>(
-                            queue, rx_seed, client.base_loss));
+                                 network->model_latency));
     } else {
       session.subscribe(id, source,
                         std::make_unique<engine::LossLink>(
@@ -129,50 +94,7 @@ SessionResult run_session_impl(const fec::ErasureCode& code,
     }
   }
 
-  const std::vector<engine::ReceiverReport> reports = session.run();
-
-  SessionResult result;
-  result.receivers.resize(clients.size());
-  const std::size_t k = code.source_count();
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const engine::ReceiverReport& er = reports[i];
-    ReceiverReport& rep = result.receivers[i];
-    rep.completed = er.completed;
-    rep.outcome = er.outcome;
-    rep.configured_base_loss = clients[i].base_loss;
-    rep.observed_loss = er.observed_loss();
-    rep.eta = er.efficiency(k);
-    rep.eta_c = er.coding_efficiency(k);
-    rep.eta_d = er.distinctness_efficiency();
-    rep.level_changes = er.level_changes;
-    rep.final_level = er.final_level;
-    rep.peak_level = er.peak_level;
-    rep.rounds_to_complete = er.completed ? er.completed_at + 1 : 0;
-    rep.corrupt_rejected = er.corrupt_rejected;
-    rep.duplicates_dropped = er.duplicates_dropped;
-  }
-  return result;
-}
-
-}  // namespace
-
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          const std::vector<BottleneckSpec>& bottlenecks,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads) {
-  return run_session_impl(code, proto, clients, bottlenecks, nullptr, seed,
-                          max_rounds, threads);
-}
-
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          const TopologySpec& topology, std::uint64_t seed,
-                          std::uint64_t max_rounds, std::size_t threads) {
-  return run_session_impl(code, proto, clients, {}, &topology, seed,
-                          max_rounds, threads);
+  return session.run();
 }
 
 }  // namespace fountain::proto

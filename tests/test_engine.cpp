@@ -18,6 +18,7 @@
 #include "engine/pool.hpp"
 #include "engine/session.hpp"
 #include "engine/sources.hpp"
+#include "engine/topology.hpp"
 #include "fec/reed_solomon.hpp"
 #include "lt/lt_code.hpp"
 #include "net/loss.hpp"
@@ -97,8 +98,12 @@ TEST(Links, LossLinkAppliesRegimeChangesAtTheirTick) {
       std::vector<std::uint8_t>{1});
   LossLink link(std::make_unique<net::BernoulliLoss>(0.0, 1));
   link.add_regime(100, std::make_unique<net::TraceLoss>(outage, 0));
-  for (engine::Time t = 0; t < 100; ++t) EXPECT_TRUE(link.deliver(t)) << t;
-  for (engine::Time t = 100; t < 120; ++t) EXPECT_FALSE(link.deliver(t)) << t;
+  for (engine::Time t = 0; t < 100; ++t) {
+    EXPECT_EQ(link.transfer(t).kind, engine::FaultKind::kDeliver) << t;
+  }
+  for (engine::Time t = 100; t < 120; ++t) {
+    EXPECT_EQ(link.transfer(t).kind, engine::FaultKind::kDrop) << t;
+  }
   EXPECT_THROW(link.add_regime(50, std::make_unique<net::BernoulliLoss>(0, 2)),
                std::invalid_argument);
 }
@@ -431,7 +436,7 @@ TEST(Links, SharedBottleneckCouplesSubscribers) {
   EXPECT_THROW(queue.set_rate(99, 1.0), std::out_of_range);
   EXPECT_THROW(queue.set_rate(a, -1.0), std::invalid_argument);
   EXPECT_THROW(engine::SharedBottleneck(0.0), std::invalid_argument);
-  EXPECT_THROW(engine::BottleneckLink(nullptr, 1), std::invalid_argument);
+  EXPECT_THROW(engine::PathLink({nullptr}, 1), std::invalid_argument);
 }
 
 TEST(SessionValidation, BottleneckSpanningCohortsIsRejected) {
@@ -453,7 +458,8 @@ TEST(SessionValidation, BottleneckSpanningCohortsIsRejected) {
     for (int i = 0; i < 2; ++i) {
       const ReceiverId id = session.add_receiver(ReceiverSpec{});
       session.subscribe(id, src,
-                        std::make_unique<engine::BottleneckLink>(queue, 7 + i));
+                        std::make_unique<engine::PathLink>(
+                            std::vector{queue}, 7 + i));
     }
     try {
       session.run();
@@ -559,8 +565,9 @@ Outcome run_adaptive_scenario(std::size_t threads, std::size_t cohort_size,
       const ReceiverId id = session.add_receiver(std::move(spec));
       session.subscribe(
           id, src,
-          std::make_unique<engine::BottleneckLink>(
-              queue, 0xabc + i, 0.01 * static_cast<double>(i % kGroupSize)));
+          std::make_unique<engine::PathLink>(
+              std::vector{queue}, 0xabc + i,
+              0.01 * static_cast<double>(i % kGroupSize)));
     }
   }
 

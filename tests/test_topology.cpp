@@ -1,7 +1,8 @@
 // The topology plane: graph/generator invariants, the Barabási–Albert
 // degree law, PathLink's multiplicative loss composition, bit-identity of a
-// one-edge path with the legacy BottleneckLink, chaos composition with
-// FaultLink, and the cohort-confinement check over *every* edge of a path.
+// one-edge path with its closed form, thread-count invariance of a
+// congestion-coupled scenario, chaos composition with FaultLink, and the
+// cohort-confinement check over *every* edge of a path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,7 +28,6 @@
 namespace fountain {
 namespace {
 
-using engine::BottleneckLink;
 using engine::CarouselSource;
 using engine::FaultLink;
 using engine::FaultProfile;
@@ -211,33 +211,43 @@ TEST(TopologyGraph, GenerationIsByteIdenticalAcrossInstancesAndThreads) {
   }
 }
 
-TEST(PathLinkDifferential, OneEdgeTransfersMatchBottleneckLinkBitForBit) {
-  // Same capacity, same external load trajectory, same seed and tail loss:
-  // a one-edge PathLink must replay BottleneckLink verdict-for-verdict (the
-  // compounding fold reduces to the identical floating-point expression and
-  // the identical single RNG draw).
-  const auto qa = std::make_shared<SharedBottleneck>(6.0);
-  const auto qb = std::make_shared<SharedBottleneck>(6.0);
-  BottleneckLink legacy(qa, 0xd1ff, 0.07);
-  PathLink path({qb}, 0xd1ff, 0.07);
-  const std::uint32_t sa = qa->attach();
-  const std::uint32_t sb = qb->attach();
+TEST(PathLinkDifferential, OneEdgeTransfersMatchClosedFormBitForBit) {
+  // A one-edge PathLink with tail loss b over a queue at loss q must spend
+  // exactly one draw per packet, chance(q + b - q*b) from Rng(seed). The
+  // oracle keeps its own queue under the same external load trajectory (one
+  // idle slot standing in for the link's own) and must agree
+  // verdict-for-verdict.
+  constexpr std::uint64_t kSeed = 0xd1ff;
+  constexpr double kTail = 0.07;
+  const auto oracle_queue = std::make_shared<SharedBottleneck>(6.0);
+  const auto queue = std::make_shared<SharedBottleneck>(6.0);
+  PathLink path({queue}, kSeed, kTail);
+  oracle_queue->attach();
+  const std::uint32_t oracle_slot = oracle_queue->attach();
+  const std::uint32_t slot = queue->attach();
+  util::Rng ref(kSeed);
   util::Rng load(99);
+  std::size_t drops = 0;
   for (engine::Time t = 0; t < 5000; ++t) {
     if (load.chance(0.01)) {
       const double offered = 12.0 * load.uniform();
-      qa->set_rate(sa, offered);
-      qb->set_rate(sb, offered);
+      oracle_queue->set_rate(oracle_slot, offered);
+      queue->set_rate(slot, offered);
     }
-    EXPECT_EQ(legacy.transfer(t), path.transfer(t)) << "tick " << t;
+    const double q = oracle_queue->loss_probability();
+    const bool dropped = ref.chance(q + kTail - q * kTail);
+    drops += dropped ? 1 : 0;
+    EXPECT_EQ(path.transfer(t), dropped ? engine::Verdict::dropped()
+                                        : engine::Verdict::delivered())
+        << "tick " << t;
   }
-  EXPECT_EQ(qa->peak_offered(), qb->peak_offered());
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(oracle_queue->peak_offered(), queue->peak_offered());
 }
 
 // One congestion-coupled adaptation scenario (two bottleneck groups of
-// loss-driven receivers, fig7 in miniature), parameterized by how each
-// receiver's link over the shared queue is built.
-enum class LinkKind { kBottleneck, kPath };
+// loss-driven receivers, fig7 in miniature), each receiver reaching its
+// group's shared queue through a one-edge PathLink.
 
 struct DiffRun {
   std::vector<ReceiverReport> reports;
@@ -247,8 +257,7 @@ struct DiffRun {
 
 DiffRun run_fig7_like(const fec::ErasureCode& code,
                       const std::shared_ptr<proto::FountainServer>& server,
-                      LinkKind kind, std::size_t threads,
-                      std::size_t cohort_size) {
+                      std::size_t threads, std::size_t cohort_size) {
   SessionConfig config;
   config.horizon = 4000;
   config.threads = threads;
@@ -274,17 +283,10 @@ DiffRun run_fig7_like(const fec::ErasureCode& code,
           std::make_unique<cc::LossDrivenPolicy>(cc::LossDrivenConfig{}));
       const ReceiverId id = session.add_receiver(std::move(spec));
       const double base_loss = 0.01 * rng.uniform();
-      const std::uint64_t seed = 0xb077ULL + 131 * rx;
-      if (kind == LinkKind::kBottleneck) {
-        session.subscribe(id, src, std::make_unique<BottleneckLink>(
-                                       queue, seed, base_loss));
-      } else {
-        session.subscribe(
-            id, src,
-            std::make_unique<PathLink>(
-                std::vector<std::shared_ptr<SharedBottleneck>>{queue}, seed,
-                base_loss));
-      }
+      session.subscribe(id, src,
+                        std::make_unique<PathLink>(std::vector{queue},
+                                                   0xb077ULL + 131 * rx,
+                                                   base_loss));
     }
   }
   run.reports = session.run();
@@ -301,22 +303,20 @@ bool same_report(const ReceiverReport& a, const ReceiverReport& b) {
 
 TEST(PathLinkDifferential, Fig7ScenarioIsByteIdenticalAtEveryThreadCount) {
   // The full adaptation loop — shared-queue coupling, loss-driven
-  // controllers, trace log — replayed with BottleneckLink vs a one-edge
-  // PathLink, at threads {1, 2, 4}. Reports and every cc trace record must
-  // be equal across link kinds and thread counts.
+  // controllers, trace log — over one-edge PathLinks: a sequential
+  // single-cohort golden run against threads {1, 2, 4}. Reports and every cc
+  // trace record must be equal at every thread count.
   const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
   const auto server =
       std::make_shared<proto::FountainServer>(cfg, *code, 0x5eed);
 
-  const DiffRun golden =
-      run_fig7_like(*code, server, LinkKind::kBottleneck, 1, 1024);
+  const DiffRun golden = run_fig7_like(*code, server, 1, 1024);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     // cohort_size 4 puts the two groups in separate cohorts once threaded.
-    const DiffRun path =
-        run_fig7_like(*code, server, LinkKind::kPath, threads, 4);
+    const DiffRun path = run_fig7_like(*code, server, threads, 4);
     ASSERT_EQ(path.reports.size(), golden.reports.size());
     for (std::size_t r = 0; r < golden.reports.size(); ++r) {
       EXPECT_TRUE(same_report(golden.reports[r], path.reports[r]))
@@ -343,7 +343,10 @@ TEST(PathComposition, LossCompoundsMultiplicatively) {
   const std::size_t trials = 200000;
   std::size_t delivered = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    delivered += path.deliver(static_cast<engine::Time>(t)) ? 1 : 0;
+    if (path.transfer(static_cast<engine::Time>(t)).kind ==
+        engine::FaultKind::kDeliver) {
+      ++delivered;
+    }
   }
   EXPECT_NEAR(static_cast<double>(delivered) / static_cast<double>(trials),
               0.54, 0.01);
@@ -496,24 +499,18 @@ TEST(ProtoTopology, ClientsOnLeavesCompleteAndBadSpecsThrow) {
     clients[i].fixed_level = true;
     clients[i].base_loss = 0.02;
   }
-  const proto::SessionResult result =
-      proto::run_session(*code, cfg, clients, topo, 0x1eaf, 4000, 2);
-  ASSERT_EQ(result.receivers.size(), clients.size());
-  for (std::size_t i = 0; i < result.receivers.size(); ++i) {
-    EXPECT_TRUE(result.receivers[i].completed) << "client " << i;
+  const std::vector<ReceiverReport> reports =
+      proto::run_session(*code, cfg, clients, 0x1eaf, 4000, 2, &topo);
+  ASSERT_EQ(reports.size(), clients.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_TRUE(reports[i].completed) << "client " << i;
   }
 
   // A leaf the topology does not have.
   std::vector<proto::SimClientConfig> bad_leaf = clients;
   bad_leaf[0].leaf = 42;
-  EXPECT_THROW(proto::run_session(*code, cfg, bad_leaf, topo, 1, 100),
+  EXPECT_THROW(proto::run_session(*code, cfg, bad_leaf, 1, 100, 0, &topo),
                std::out_of_range);
-
-  // leaf and bottleneck are mutually exclusive.
-  std::vector<proto::SimClientConfig> both = clients;
-  both[0].bottleneck = 0;
-  EXPECT_THROW(proto::run_session(*code, cfg, both, topo, 1, 100),
-               std::invalid_argument);
 
   // A leaf client without a TopologySpec has nothing to attach to.
   EXPECT_THROW(proto::run_session(*code, cfg, clients, 1, 100),
