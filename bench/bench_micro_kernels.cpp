@@ -1,7 +1,8 @@
 // Microbenchmarks for the data-path kernels underlying every timing table:
 // the dispatched XOR block kernels (per ISA tier, single- and multi-source),
-// the GF(2^8) split-nibble multiply-accumulate, the GF(2^16) and XOR-Cauchy
-// kernels, and end-to-end Tornado encode/decode at a mid-size block.
+// the GF(2^8) and GF(2^16) multiply-accumulates (per ISA tier), the
+// XOR-Cauchy kernel, and end-to-end Tornado encode/decode at a mid-size
+// block.
 //
 // Standalone (no external benchmark library): each case is timed by
 // repetition until a minimum wall-clock window is filled, the per-op time
@@ -10,8 +11,10 @@
 //
 // Flags / env:
 //   --expect-simd         exit non-zero if a SIMD tier is compiled in and
-//                         CPU-supported but the scalar tier was selected
-//                         (CI guard against silent dispatch regressions)
+//                         CPU-supported but the scalar tier was selected,
+//                         or if the host has AVX2 but the dispatched tier
+//                         folds GF(2^16) with the scalar loop (CI guard
+//                         against silent dispatch regressions)
 //   FOUNTAIN_BENCH_QUICK  =1 shrinks sizes and timing windows (CI smoke run)
 //   FOUNTAIN_FORCE_SCALAR / FOUNTAIN_FORCE_ISA   override dispatch
 #include <cstdio>
@@ -107,6 +110,7 @@ int main(int argc, char** argv) {
   // scalar tier so the speedup is visible in one run.
   double xor_scalar_1k = 0, xor_best_1k = 0;
   double gf_scalar_1k = 0, gf_best_1k = 0;
+  double gf16_scalar_1k = 0, gf16_best_1k = 0;
   for (const std::size_t bytes : sizes) {
     util::SymbolMatrix m(6, bytes);
     m.fill_random(1);
@@ -137,6 +141,18 @@ int main(int argc, char** argv) {
       if (bytes == 1024) {
         if (isa == kern::Isa::kScalar) gf_scalar_1k = gf_mbps;
         gf_best_1k = std::max(gf_best_1k, gf_mbps);
+      }
+      // The per-constant tables are rebuilt inside every call, as in the
+      // Cauchy tail, so this rate includes that set-up.
+      const double gf16_mbps =
+          h.run("gf65536_fma_block/" + tag, kern::isa_name(isa),
+                double(bytes), [&] {
+                  ops->gf65536_fma(m.row(0).data(), m.row(1).data(), bytes,
+                                   0xBEEF);
+                });
+      if (bytes == 1024) {
+        if (isa == kern::Isa::kScalar) gf16_scalar_1k = gf16_mbps;
+        gf16_best_1k = std::max(gf16_best_1k, gf16_mbps);
       }
     }
     // Dispatched public entry points and the other field kernels.
@@ -254,6 +270,10 @@ int main(int argc, char** argv) {
     std::printf("gf256_fma_block 1 KB speedup vs scalar: %.2fx\n",
                 gf_best_1k / gf_scalar_1k);
   }
+  if (gf16_scalar_1k > 0 && gf16_best_1k > 0) {
+    std::printf("gf65536_fma_block 1 KB speedup vs scalar: %.2fx\n",
+                gf16_best_1k / gf16_scalar_1k);
+  }
   if (rows_single_mbps > 0 && rows_blocked_mbps > 0) {
     std::printf("xor multi-row blocked vs row-at-a-time:  %.2fx\n",
                 rows_blocked_mbps / rows_single_mbps);
@@ -270,6 +290,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--expect-simd: a SIMD tier is available but the scalar "
                  "tier is active\n");
+    return 2;
+  }
+  // GF(2^16) has SIMD kernels on the AVX2, AVX-512BW and GFNI tiers only;
+  // an AVX2 host dispatched to any other tier runs the Cauchy tail of every
+  // Tornado code on the scalar loop.
+  const kern::Isa active = kern::active_isa();
+  if (expect_simd && kern::ops_for(kern::Isa::kAvx2) != nullptr &&
+      active != kern::Isa::kAvx2 && active != kern::Isa::kAvx512 &&
+      active != kern::Isa::kGfni) {
+    std::fprintf(stderr,
+                 "--expect-simd: AVX2 is available but the active %s tier "
+                 "folds GF(2^16) with the scalar loop\n",
+                 kern::isa_name(active));
     return 2;
   }
   return 0;

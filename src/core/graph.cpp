@@ -9,6 +9,68 @@ namespace fountain::core {
 
 namespace {
 
+/// Bounded path search over the degree-2 subgraph: checks are vertices and
+/// each degree-2 left node is an edge labelled with its id. The search is a
+/// bidirectional BFS — each step grows the smaller of the two frontiers by
+/// one full level — so it visits two balls of about half the radius a
+/// one-sided BFS would. Visit marks are stamped with a per-search
+/// generation, so no per-search clearing pass over all checks is needed.
+class PathProbe {
+ public:
+  using Adjacency =
+      std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>;
+
+  explicit PathProbe(std::size_t vertices) : mark_(vertices, 0) {}
+
+  /// True iff a != b and `adj` holds a path from a to b of at most `limit`
+  /// edges that uses no edge labelled `skip`.
+  bool connects(const Adjacency& adj, std::uint32_t a, std::uint32_t b,
+                std::uint32_t skip, unsigned limit) {
+    if (a == b) return false;
+    if (stamp_ > UINT32_MAX - 2) {
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 0;
+    }
+    stamp_ += 2;
+    const std::uint32_t from_a = stamp_;
+    const std::uint32_t from_b = stamp_ + 1;
+    mark_[a] = from_a;
+    mark_[b] = from_b;
+    front_a_.assign(1, a);
+    front_b_.assign(1, b);
+    // Invariant: every vertex within depth_a of a (resp. depth_b of b) is
+    // marked, and depth = depth_a + depth_b. A vertex reached from one side
+    // that already carries the other side's mark closes a path of at most
+    // depth + 1 edges.
+    for (unsigned depth = 0; depth < limit; ++depth) {
+      const bool grow_a = front_a_.size() <= front_b_.size();
+      std::vector<std::uint32_t>& front = grow_a ? front_a_ : front_b_;
+      const std::uint32_t own = grow_a ? from_a : from_b;
+      const std::uint32_t other = grow_a ? from_b : from_a;
+      next_.clear();
+      for (const std::uint32_t c : front) {
+        for (const auto& [v, via] : adj[c]) {
+          if (via == skip || mark_[v] == own) continue;
+          if (mark_[v] == other) return true;
+          mark_[v] = own;
+          next_.push_back(v);
+        }
+      }
+      // An exhausted side means its endpoint's component holds no path.
+      if (next_.empty()) return false;
+      front.swap(next_);
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
+  std::vector<std::uint32_t> front_a_;
+  std::vector<std::uint32_t> front_b_;
+  std::vector<std::uint32_t> next_;
+};
+
 /// Repairs the edge list in place so that (a) no left node has two edges to
 /// the same check (such parallel edges cancel under XOR — in the worst case
 /// isolating a degree-2 node entirely) and (b) no two degree-2 left nodes
@@ -76,10 +138,10 @@ void repair_edges(std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
     }
     return static_cast<std::size_t>(max_r) + 1;
   }();
+  PathProbe probe(right_count);
   for (int round = 0; round < 60; ++round) {
     // Adjacency of the degree-2 subgraph over checks.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> adj(
-        right_count);  // check -> (other check, left id)
+    PathProbe::Adjacency adj(right_count);  // check -> (other check, left id)
     for (std::size_t l = 0; l < left_count; ++l) {
       if (left_start[l + 1] - left_start[l] != 2) continue;
       const std::uint32_t a = edges[left_start[l]].first;
@@ -88,32 +150,15 @@ void repair_edges(std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
       adj[b].emplace_back(a, static_cast<std::uint32_t>(l));
     }
     bool dirty = false;
-    std::vector<std::uint32_t> dist(right_count);
-    std::vector<std::uint32_t> queue;
     for (std::size_t l = 0; l < left_count; ++l) {
       if (left_start[l + 1] - left_start[l] != 2) continue;
       const std::uint32_t a = edges[left_start[l]].first;
       const std::uint32_t b = edges[left_start[l] + 1].first;
-      // BFS from a to b avoiding the edge l itself, bounded depth.
-      std::fill(dist.begin(), dist.end(), UINT32_MAX);
-      queue.clear();
-      queue.push_back(a);
-      dist[a] = 0;
-      bool found = false;
-      for (std::size_t head = 0; head < queue.size() && !found; ++head) {
-        const std::uint32_t c = queue[head];
-        if (dist[c] >= kMaxCycle - 1) break;
-        for (const auto& [next, via] : adj[c]) {
-          if (via == l) continue;
-          if (dist[next] != UINT32_MAX) continue;
-          if (next == b) {
-            found = true;
-            break;
-          }
-          dist[next] = dist[c] + 1;
-          queue.push_back(next);
-        }
-      }
+      // A path a..b of at most kMaxCycle - 1 edges, avoiding the edge l
+      // itself, closes a cycle of at most kMaxCycle through l.
+      const bool found = probe.connects(adj, a, b,
+                                        static_cast<std::uint32_t>(l),
+                                        kMaxCycle - 1);
       if (found) {
         // Break the cycle by moving one endpoint to a random other socket.
         std::swap(edges[left_start[l]].first,

@@ -1,6 +1,5 @@
 #include "gf/gf65536.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -59,18 +58,7 @@ void GF65536::fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
     throw std::invalid_argument("GF65536: buffer length must be even");
   }
   if (c == 0) return;
-  const auto& t = tables();
-  const std::uint32_t logc = t.log[c];
-  for (std::size_t i = 0; i < bytes; i += 2) {
-    Element w;
-    std::memcpy(&w, src + i, 2);
-    if (w == 0) continue;
-    const Element prod = t.exp[t.log[w] + logc];
-    Element d;
-    std::memcpy(&d, dst + i, 2);
-    d ^= prod;
-    std::memcpy(dst + i, &d, 2);
-  }
+  kern::gf65536_fma_block(dst, src, bytes, c);
 }
 
 void GF65536::scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c) {
@@ -99,14 +87,7 @@ void GF65536::fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
   if (bytes % 2 != 0) {
     throw std::invalid_argument("GF65536: buffer length must be even");
   }
-  // kRowTileBytes is even, so every tile boundary preserves the 16-bit word
-  // grid fma_buffer requires.
-  for (std::size_t off = 0; off < bytes; off += kern::kRowTileBytes) {
-    const std::size_t len = std::min(kern::kRowTileBytes, bytes - off);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (coeffs[i] != 0) fma_buffer(dst + off, srcs[i] + off, len, coeffs[i]);
-    }
-  }
+  kern::gf65536_fma_rows(dst, srcs, coeffs, count, bytes);
 }
 
 }  // namespace fountain::gf

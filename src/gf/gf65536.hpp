@@ -3,6 +3,10 @@
 // table covers files up to 16 MB = 16384 packets with a stretch factor of 2,
 // i.e. n = 32768 encoding symbols — far beyond GF(2^8)'s 256 points.
 // Buffer kernels process payloads as 16-bit words (symbol sizes must be even).
+// The multiply-accumulate folds run on the dispatched kern::gf65536_fma
+// tiers (GFNI affine, AVX-512BW/AVX2 split-nibble, scalar split-nibble);
+// mul/inv/div and scale_buffer use the log/exp tables, which also serve the
+// kernel tests as the reference multiply.
 #pragma once
 
 #include <cstddef>
@@ -32,17 +36,18 @@ class GF65536 {
   static Element exp(unsigned power) { return tables().exp[power % 65535]; }
   static unsigned log(Element a);
 
-  /// dst ^= c * src; bytes must be a multiple of 2.
+  /// dst ^= c * src; bytes must be a multiple of 2. Routed through the
+  /// dispatched kern::gf65536_fma_block.
   static void fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
                          std::size_t bytes, Element c);
   /// dst *= c; bytes must be a multiple of 2.
   static void scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c);
 
   /// dst ^= sum_i coeffs[i] * srcs[i] — the same RS row-synthesis entry
-  /// point as GF256::fma_rows. GF(2^16) has no SIMD kernel tier, but the
-  /// fold is still cache-blocked so the destination row stays L1-resident
-  /// across the whole linear combination. Zero coefficients are skipped;
-  /// bytes must be a multiple of 2.
+  /// point as GF256::fma_rows, routed through the cache-blocked
+  /// kern::gf65536_fma_rows so the destination row stays L1-resident across
+  /// the whole linear combination. Zero coefficients are skipped; bytes must
+  /// be a multiple of 2.
   static void fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                        const Element* coeffs, std::size_t count,
                        std::size_t bytes);

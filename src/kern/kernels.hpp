@@ -1,7 +1,9 @@
 // Runtime-dispatched byte-level kernels — the innermost loops of every code
 // in this library. The paper's speed claim (Tables 2/3) rests on the XOR
-// inner loop; this layer makes that loop, and the GF(2^8) multiply-accumulate
-// behind the Reed-Solomon codes, run as wide as the host allows.
+// inner loop; this layer makes that loop, the GF(2^8) multiply-accumulate
+// behind the Reed-Solomon codes, and the GF(2^16) multiply-accumulate behind
+// the Cauchy tail that closes every Tornado cascade, run as wide as the host
+// allows.
 //
 // Dispatch: an implementation table (`Ops`) per instruction-set tier —
 // GFNI -> AVX-512BW -> AVX2 -> SSE2 -> scalar on x86-64, NEON -> scalar on
@@ -13,7 +15,8 @@
 // tests. Forcing a tier the host lacks falls through to auto-selection.
 //
 // On top of the per-tier single-destination kernels, this header exposes the
-// cache-blocked multi-row primitives `xor_block_rows` / `gf256_fma_rows`:
+// cache-blocked multi-row primitives `xor_block_rows` / `gf256_fma_rows` /
+// `gf65536_fma_rows`:
 // they fold an arbitrary number of source rows into one destination, tiled
 // in `kRowTileBytes` chunks so the destination tile stays L1-resident across
 // all sources instead of being re-read from L2/DRAM once per source. These
@@ -76,6 +79,12 @@ struct Ops {
                     const Gf256Ctx& ctx);
   /// dst *= c over GF(2^8).
   void (*gf256_scale)(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx);
+  /// dst ^= c * src over GF(2^16) (polynomial 0x1100B), both buffers read
+  /// as host-order 16-bit words; n must be even. The per-constant tables or
+  /// matrices are derived from c inside the call (a Tornado tail has ~10^6
+  /// distinct generator coefficients, too many to keep a context for each).
+  void (*gf65536_fma)(std::uint8_t* dst, const std::uint8_t* src,
+                      std::size_t n, std::uint16_t c);
 };
 
 /// The active tier (selected once, then cached; see file comment).
@@ -120,6 +129,10 @@ inline void gf256_scale_block(std::uint8_t* dst, std::size_t n,
                               const Gf256Ctx& ctx) {
   ops().gf256_scale(dst, n, ctx);
 }
+inline void gf65536_fma_block(std::uint8_t* dst, const std::uint8_t* src,
+                              std::size_t n, std::uint16_t c) {
+  ops().gf65536_fma(dst, src, n, c);
+}
 
 // ---- Cache-blocked multi-row primitives (kernels_rows.cpp) ----
 
@@ -144,6 +157,14 @@ void gf256_fma_rows(const Ops& ops, std::uint8_t* dst,
                     const std::uint8_t* const* srcs, const Gf256Ctx* ctxs,
                     std::size_t count, std::size_t n);
 
+/// dst ^= sum_i coeffs[i] * srcs[i] over GF(2^16), tiled like
+/// gf256_fma_rows; zero coefficients are skipped. n must be even (every tile
+/// boundary then falls on the 16-bit word grid, as kRowTileBytes is even).
+void gf65536_fma_rows(const Ops& ops, std::uint8_t* dst,
+                      const std::uint8_t* const* srcs,
+                      const std::uint16_t* coeffs, std::size_t count,
+                      std::size_t n);
+
 inline void xor_block_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                            std::size_t count, std::size_t n) {
   xor_block_rows(ops(), dst, srcs, count, n);
@@ -152,6 +173,12 @@ inline void gf256_fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                            const Gf256Ctx* ctxs, std::size_t count,
                            std::size_t n) {
   gf256_fma_rows(ops(), dst, srcs, ctxs, count, n);
+}
+inline void gf65536_fma_rows(std::uint8_t* dst,
+                             const std::uint8_t* const* srcs,
+                             const std::uint16_t* coeffs, std::size_t count,
+                             std::size_t n) {
+  gf65536_fma_rows(ops(), dst, srcs, coeffs, count, n);
 }
 
 }  // namespace fountain::kern

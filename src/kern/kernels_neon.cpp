@@ -1,7 +1,7 @@
 // NEON tier (AArch64, where Advanced SIMD is architecturally guaranteed —
 // no runtime probe needed). 16-byte XOR lanes; GF(2^8) uses vqtbl1q_u8 for
 // the same split-nibble half-table lookup the AVX2 tier performs with
-// VPSHUFB.
+// VPSHUFB. GF(2^16) uses the scalar split-nibble loop.
 #include "kern/kernels_impl.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -87,7 +87,8 @@ void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
 }
 
 constexpr Ops kOps = {Isa::kNeon, &xor1,      &xor2,        &xor3,
-                      &xor4,      &gf256_fma, &gf256_scale};
+                      &xor4,      &gf256_fma, &gf256_scale,
+                      &scalar_gf65536_fma};
 
 }  // namespace
 

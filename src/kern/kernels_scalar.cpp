@@ -1,6 +1,7 @@
-// Scalar reference tier: word-at-a-time XOR (the seed's original kernel) and
-// the full-table GF(2^8) loop. This tier defines the semantics every SIMD
-// tier must reproduce bit-for-bit (see tests/test_kernels.cpp).
+// Scalar reference tier: word-at-a-time XOR (the seed's original kernel),
+// the full-table GF(2^8) loop, and a split-nibble GF(2^16) loop whose four
+// 16-entry tables are built per call. This tier defines the semantics every
+// SIMD tier must reproduce bit-for-bit (see tests/test_kernels.cpp).
 #include <cstring>
 
 #include "kern/kernels_impl.hpp"
@@ -67,8 +68,43 @@ void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = row[dst[i]];
 }
 
-constexpr Ops kOps = {Isa::kScalar, &xor1, &xor2, &xor3, &xor4,
-                      &gf256_fma,   &gf256_scale};
+/// Split-nibble tables of the multiply by c (Plank, Greenan and Miller,
+/// "Screaming Fast Galois Field Arithmetic", FAST '13): for a word w,
+/// c * w = t[0][w & 0xf] ^ t[1][(w >> 4) & 0xf] ^ t[2][(w >> 8) & 0xf]
+///       ^ t[3][w >> 12].
+/// Entry v of table q is the XOR of the basis products of v's set bits.
+void gf65536_nibble_tables(std::uint16_t c, std::uint16_t t[4][16]) {
+  std::uint16_t basis[16];
+  gf65536_basis(c, basis);
+  for (unsigned q = 0; q < 4; ++q) {
+    t[q][0] = 0;
+    for (unsigned bit = 0; bit < 4; ++bit) {
+      const unsigned half = 1u << bit;
+      for (unsigned v = 0; v < half; ++v) {
+        t[q][half + v] =
+            static_cast<std::uint16_t>(t[q][v] ^ basis[4 * q + bit]);
+      }
+    }
+  }
+}
+
+void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                 std::uint16_t c) {
+  std::uint16_t t[4][16];
+  gf65536_nibble_tables(c, t);
+  for (std::size_t i = 0; i + 2 <= n; i += 2) {
+    std::uint16_t w;
+    std::uint16_t d;
+    std::memcpy(&w, src + i, 2);
+    std::memcpy(&d, dst + i, 2);
+    d ^= static_cast<std::uint16_t>(t[0][w & 0xf] ^ t[1][(w >> 4) & 0xf] ^
+                                    t[2][(w >> 8) & 0xf] ^ t[3][w >> 12]);
+    std::memcpy(dst + i, &d, 2);
+  }
+}
+
+constexpr Ops kOps = {Isa::kScalar, &xor1,      &xor2,        &xor3, &xor4,
+                      &gf256_fma,   &gf256_scale, &gf65536_fma};
 
 }  // namespace
 
@@ -84,6 +120,10 @@ void scalar_gf256_fma(std::uint8_t* dst, const std::uint8_t* src,
 void scalar_gf256_scale(std::uint8_t* dst, std::size_t n,
                         const Gf256Ctx& ctx) {
   gf256_scale(dst, n, ctx);
+}
+void scalar_gf65536_fma(std::uint8_t* dst, const std::uint8_t* src,
+                        std::size_t n, std::uint16_t c) {
+  gf65536_fma(dst, src, n, c);
 }
 
 }  // namespace fountain::kern::detail

@@ -150,6 +150,53 @@ TEST(RepairInvariants, LeftDegreesFollowDistribution) {
   }
 }
 
+/// FNV-1a over a cascade's level layout, tail parity count and every
+/// graph's check-side adjacency, in order.
+std::uint64_t structure_hash(const core::Cascade& c) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(c.level_count());
+  for (std::size_t j = 0; j < c.level_count(); ++j) mix(c.level_size(j));
+  mix(c.parity_count());
+  for (std::size_t j = 0; j < c.graph_count(); ++j) {
+    const auto& g = c.graph(j);
+    for (std::size_t r = 0; r < g.right_count(); ++r) {
+      const auto neighbors = g.check_neighbors(r);
+      mix(neighbors.size());
+      for (const auto l : neighbors) mix(l);
+    }
+  }
+  return h;
+}
+
+TEST(RepairGolden, CascadeGraphsArePinned) {
+  // The graphs are part of the wire contract: both ends rebuild them from
+  // (params, seed). These values were recorded with the original one-sided
+  // BFS cycle search; a faster search must reproduce every RNG draw and
+  // rewire exactly.
+  struct Case {
+    bool variant_b;
+    std::size_t k;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  for (const Case& c : {Case{false, 1024, 1, 0xbef1ee0810f9d9d4ULL},
+                        Case{false, 4096, 1, 0x2e9edb311f2d9e41ULL},
+                        Case{true, 1024, 7, 0xbcea36a01db399e7ULL},
+                        Case{true, 4096, 7, 0xd0bc80245fe0a310ULL}}) {
+    const auto params =
+        c.variant_b ? core::TornadoParams::tornado_b(c.k, 1024, c.seed)
+                    : core::TornadoParams::tornado_a(c.k, 1024, c.seed);
+    EXPECT_EQ(structure_hash(core::Cascade(params)), c.hash)
+        << (c.variant_b ? "B" : "A") << " k=" << c.k;
+  }
+}
+
 TEST(DegreeDistribution, SpikeValidation) {
   EXPECT_THROW(DegreeDistribution({}), std::invalid_argument);
   EXPECT_THROW(DegreeDistribution({{1, 0.5}, {3, 0.5}}),

@@ -2,8 +2,8 @@
 // machine must produce bit-identical output to the scalar reference tier for
 // every kernel, across sizes 0..4096 (including odd lengths) and misaligned
 // buffer offsets. Also covers the batching XorAccumulator, the dispatch
-// override hooks, and the GF(2^8) split-nibble tables against field
-// arithmetic.
+// override hooks, the GF(2^8) split-nibble tables against field
+// arithmetic, and every GF(2^16) tier against the log/exp multiply.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -365,6 +365,99 @@ TEST(Kernels, Gf65536FieldFmaRowsMatchesRepeatedBuffer) {
   const gf::GF65536::Element one = 1;
   EXPECT_THROW(gf::GF65536::fma_rows(dst, srcs, &one, 1, 1),
                std::invalid_argument);
+}
+
+/// dst ^= c * src word by word with gf::GF65536's log/exp multiply — the
+/// reference every GF(2^16) kernel tier must reproduce.
+void gf65536_fma_reference(std::uint8_t* dst, const std::uint8_t* src,
+                           std::size_t n, std::uint16_t c) {
+  for (std::size_t i = 0; i + 2 <= n; i += 2) {
+    std::uint16_t w;
+    std::uint16_t d;
+    std::memcpy(&w, src + i, 2);
+    std::memcpy(&d, dst + i, 2);
+    d ^= gf::GF65536::mul(w, c);
+    std::memcpy(dst + i, &d, 2);
+  }
+}
+
+/// Coefficients with special structure (zero, one, the generator, the top
+/// bit alone, all bits) plus pseudo-random ones.
+std::vector<std::uint16_t> gf65536_constants() {
+  std::vector<std::uint16_t> out = {0, 1, 2, 0x8000, 0xFFFF};
+  util::Rng rng(65536);
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint16_t>(rng() & 0xffff));
+  }
+  return out;
+}
+
+// Even lengths around the 32/64/128-byte steps of the SIMD tiers.
+const std::vector<std::size_t> kWordSizes = {0,   2,   62,   64,  66,
+                                             130, 256, 1024, 4098};
+
+TEST(Kernels, Gf65536FmaMatchesLogExpReference) {
+  constexpr std::size_t kGuard = 64;  // must stay untouched past the end
+  for (const kern::Isa isa : all_tiers()) {
+    const kern::Ops& ops = *kern::ops_for(isa);
+    for (const std::uint16_t c : gf65536_constants()) {
+      for (const std::size_t n : kWordSizes) {
+        for (const std::size_t off : kOffsets) {
+          const auto d0 = random_bytes(off + n + kGuard, 3000 + n + c);
+          const auto src = random_bytes(off + n + kGuard, 4000 + n + off);
+          auto expect = d0;
+          gf65536_fma_reference(expect.data() + off, src.data() + off, n, c);
+          auto got = d0;
+          ops.gf65536_fma(got.data() + off, src.data() + off, n, c);
+          ASSERT_EQ(expect, got) << kern::isa_name(isa) << " c=" << c
+                                 << " n=" << n << " off=" << off;
+
+          // dst == src: each word w becomes w ^ c * w.
+          expect = d0;
+          gf65536_fma_reference(expect.data() + off, d0.data() + off, n, c);
+          got = d0;
+          ops.gf65536_fma(got.data() + off, got.data() + off, n, c);
+          ASSERT_EQ(expect, got) << "in place " << kern::isa_name(isa)
+                                 << " c=" << c << " n=" << n
+                                 << " off=" << off;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, Gf65536FmaRowsMatchesLogExpReference) {
+  // Zero coefficients sit between live ones, and the lengths cross the
+  // kRowTileBytes tile boundary.
+  const auto constants = gf65536_constants();
+  for (const kern::Isa isa : all_tiers()) {
+    const kern::Ops& ops = *kern::ops_for(isa);
+    for (const std::size_t count : kRowCounts) {
+      for (const std::size_t n : {std::size_t{0}, std::size_t{2},
+                                  std::size_t{66}, std::size_t{1000},
+                                  std::size_t{8194}}) {
+        const auto d0 = random_bytes(n + 1, 5000 + count + n);
+        std::vector<std::vector<std::uint8_t>> sources;
+        std::vector<const std::uint8_t*> ptrs;
+        std::vector<std::uint16_t> coeffs;
+        for (std::size_t i = 0; i < count; ++i) {
+          // Odd offset into each source: misaligned rows.
+          sources.push_back(random_bytes(n + 1, 5100 + 13 * i + n));
+          ptrs.push_back(sources.back().data() + 1);
+          coeffs.push_back(i % 3 == 1 ? 0 : constants[i % constants.size()]);
+        }
+        auto expect = d0;
+        for (std::size_t i = 0; i < count; ++i) {
+          gf65536_fma_reference(expect.data() + 1, ptrs[i], n, coeffs[i]);
+        }
+        auto got = d0;
+        kern::gf65536_fma_rows(ops, got.data() + 1, ptrs.data(),
+                               coeffs.data(), count, n);
+        ASSERT_EQ(expect, got) << kern::isa_name(isa) << " count=" << count
+                               << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST(Kernels, IsaOverride) {
