@@ -5,14 +5,16 @@
 //  * time-to-first-symbol — legacy whole-block encode() must finish the full
 //    n-symbol block before the first packet can leave; make_encoder() pays
 //    only its per-transfer precomputation (for Tornado, the one cascade XOR
-//    pass — the RS tail is deferred to the symbols that need it) plus one
-//    write_symbol. Measured against the *worst-case* first symbol (index
-//    n - 1, a tail/parity row), so the encoder number is an upper bound.
+//    pass plus the one additive-FFT encode of the whole RS tail parity)
+//    plus one write_symbol. Measured against the *worst-case* first symbol
+//    (index n - 1, a tail/parity row), so the encoder number is an upper
+//    bound.
 //  * steady-state symbol rate — symbols/s streaming one full carousel cycle
 //    through write_symbol into a single scratch buffer, vs the amortized
 //    whole-block rate n / t_block.
 //  * encode-buffer memory — the n x P encoding a legacy producer holds, vs
-//    the encoder's state_bytes() beyond the borrowed source.
+//    the encoder's state_bytes() beyond the borrowed source (for Tornado
+//    the check levels plus the precomputed tail parity: (n - k) x P).
 //
 // Emits JSON-lines records to BENCH_results.json like the other benches.
 #include <algorithm>

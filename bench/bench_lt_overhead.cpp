@@ -16,7 +16,7 @@
 //
 // JSON: "encode/..." and "decode/..." records are perf-gated by
 // tools/bench_diff; "overhead/..." records are statistics and ride along
-// ungated.
+// ungated. Exits 1 unless Tornado B outruns LT on every encode/decode pair.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -92,10 +92,12 @@ DecodeResult run_decode(const fec::ErasureCode& code,
 }
 
 // Prints Tornado B's throughput as a multiple of LT's for every encode/ and
-// decode/ record pair (> 1: Tornado is faster), so the shape check reports
-// what this run measured. Overhead records carry no throughput and are
-// skipped.
-void print_throughput_ratios(const std::vector<bench::JsonRecord>& records) {
+// decode/ record pair (> 1: Tornado is faster) and returns whether every
+// pair — and at least one — shows Tornado faster, the paper's Section 9
+// trade. Overhead records carry no throughput and are skipped.
+bool print_throughput_ratios(const std::vector<bench::JsonRecord>& records) {
+  std::size_t pairs = 0;
+  bool tornado_faster = true;
   for (std::size_t i = 0; i + 1 < records.size(); ++i) {
     const bench::JsonRecord& lt = records[i];
     const bench::JsonRecord& tb = records[i + 1];
@@ -103,9 +105,14 @@ void print_throughput_ratios(const std::vector<bench::JsonRecord>& records) {
         lt.mb_per_s <= 0.0) {
       continue;
     }
-    std::printf("  %-16s %8.2fx\n", lt.name.c_str(),
-                tb.mb_per_s / lt.mb_per_s);
+    const double ratio = tb.mb_per_s / lt.mb_per_s;
+    const bool faster = ratio > 1.0;
+    ++pairs;
+    tornado_faster = tornado_faster && faster;
+    std::printf("  %-16s %8.2fx%s\n", lt.name.c_str(), ratio,
+                faster ? "" : "  FAIL: Tornado B not faster than LT");
   }
+  return pairs > 0 && tornado_faster;
 }
 
 }  // namespace
@@ -233,9 +240,10 @@ int main() {
 
   std::printf("\nShape check vs paper: LT overhead shrinks with k (robust "
               "soliton concentration)\nwhile Tornado's is fixed by its graph. "
-              "Measured Tornado B / LT throughput\n(> 1: Tornado faster, the "
-              "Section 9 trade of CPU for an unbounded index space):\n");
-  print_throughput_ratios(records);
+              "Measured Tornado B / LT throughput\n(must be > 1: Tornado "
+              "faster, the Section 9 trade of CPU for an unbounded\nindex "
+              "space; the exit status fails otherwise):\n");
+  const bool ok = print_throughput_ratios(records);
   bench::append_json(records);
-  return 0;
+  return ok ? 0 : 1;
 }

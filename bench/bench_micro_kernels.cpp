@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
         gf_best_1k = std::max(gf_best_1k, gf_mbps);
       }
       // The per-constant tables are rebuilt inside every call, as in the
-      // Cauchy tail, so this rate includes that set-up.
+      // GF(2^16) Reed-Solomon codecs, so this rate includes that set-up.
       const double gf16_mbps =
           h.run("gf65536_fma_block/" + tag, kern::isa_name(isa),
                 double(bytes), [&] {
@@ -293,8 +293,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   // GF(2^16) has SIMD kernels on the AVX2, AVX-512BW and GFNI tiers only;
-  // an AVX2 host dispatched to any other tier runs the Cauchy tail of every
-  // Tornado code on the scalar loop.
+  // an AVX2 host dispatched to any other tier runs the Reed-Solomon tail of
+  // every Tornado code on the scalar loop.
   const kern::Isa active = kern::active_isa();
   if (expect_simd && kern::ops_for(kern::Isa::kAvx2) != nullptr &&
       active != kern::Isa::kAvx2 && active != kern::Isa::kAvx512 &&

@@ -71,8 +71,9 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
   const double beta = (params_.stretch - 1.0) / params_.stretch;
   // Tail threshold: stop the cascade while levels are still large enough to
   // concentrate (peeling on sub-500-node graphs is dominated by variance,
-  // not by the asymptotic threshold), but keep the RS tail <= 1024 so its
-  // quadratic decode cost stays negligible next to the XOR passes.
+  // not by the asymptotic threshold). The 1024 cap is part of the wire
+  // layout; it no longer bounds the tail's cost, which is O(t log t), and a
+  // larger tail would lower the reception overhead.
   const std::size_t threshold =
       std::max(params_.min_tail, std::min<std::size_t>(k / 8, 1024));
   level_size_.push_back(k);
@@ -98,11 +99,9 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
   }
   parity_count_ = n - node_count_;
 
-  const std::size_t tail_k = level_size_.back();
-  if (tail_k + parity_count_ > gf::GF65536::kOrder) {
-    throw std::invalid_argument("Cascade: RS tail exceeds GF(2^16)");
-  }
-  tail_ = std::make_unique<TailCodec>(tail_k, parity_count_);
+  // The FFT tail spans 2m points, m = pow2 >= max(tail, parity); it throws
+  // std::invalid_argument when they exceed GF(2^16).
+  tail_ = std::make_unique<TailCodec>(level_size_.back(), parity_count_);
 
   const DegreeDistribution primary = params_.left_distribution();
   util::Rng rng(params_.seed);

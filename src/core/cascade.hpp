@@ -4,10 +4,12 @@
 // Level 0 holds the k source packets. Level j+1 holds m_{j+1} = beta * m_j
 // check packets, each the XOR of its left neighbours in a random bipartite
 // graph over level j. Levels halve (beta = 1/2 at the paper's stretch factor
-// c = 2; in general beta = (c-1)/c) until they reach ~sqrt(k), where the
-// recursion is closed by a conventional erasure code — here a systematic
-// Cauchy Reed-Solomon code — protecting the last level. Parity count is
-// chosen so the total encoding length is exactly n = round(c * k).
+// c = 2; in general beta = (c-1)/c) until they reach
+// max(min_tail, min(k/8, 1024)), where the recursion is closed by a
+// conventional erasure code — here a systematic Reed-Solomon code encoded
+// and decoded by additive FFT in O(n log n) (gf/rs_fft.hpp) — protecting the
+// last level. Parity count is chosen so the total encoding length is exactly
+// n = round(c * k).
 //
 // Encoding index space (what `ReceivedSymbol::index` means everywhere):
 // [0, k) are the systematic source packets, [k, node_count()) the XOR check
@@ -23,8 +25,7 @@
 
 #include "core/degree.hpp"
 #include "core/graph.hpp"
-#include "gf/gf65536.hpp"
-#include "gf/rs_cauchy.hpp"
+#include "gf/rs_fft.hpp"
 
 namespace fountain::core {
 
@@ -64,7 +65,7 @@ struct TornadoParams {
 /// "source and clients have agreed to the graph structure in advance".
 class Cascade {
  public:
-  using TailCodec = gf::CauchyCodec<gf::GF65536>;
+  using TailCodec = gf::FftCodec;
 
   explicit Cascade(const TornadoParams& params);
 

@@ -56,9 +56,11 @@ CascadeEncoder::CascadeEncoder(const Cascade& cascade,
   // a check-state range otherwise.
   const std::size_t tail_off =
       cascade_.level_offset(cascade_.level_count() - 1);
-  tail_ = tail_off < k
-              ? source_
-              : checks_.rows_view(tail_off - k, cascade_.tail_size());
+  const util::ConstSymbolView tail =
+      tail_off < k ? source_
+                   : checks_.rows_view(tail_off - k, cascade_.tail_size());
+  parity_ = util::SymbolMatrix(cascade_.parity_count(), bytes);
+  cascade_.tail().encode(tail, parity_);
 }
 
 void CascadeEncoder::write_symbol(std::uint32_t index,
@@ -75,7 +77,8 @@ void CascadeEncoder::write_symbol(std::uint32_t index,
   } else if (index < cascade_.node_count()) {
     std::memcpy(out.data(), checks_.row(index - k).data(), out.size());
   } else {
-    cascade_.tail().encode_one(tail_, index - cascade_.node_count(), out);
+    std::memcpy(out.data(), parity_.row(index - cascade_.node_count()).data(),
+                out.size());
   }
 }
 

@@ -1,13 +1,10 @@
 // Tornado encoding as a streaming BlockEncoder. Construction runs the one
 // linear XOR pass down the cascade — the (k + l) * ln(1/eps) * P running
-// time of the paper's Table 1 — materializing only the check levels
-// (node rows [k, node_count()), < k rows at stretch 2). After that every
-// encoding symbol is served on demand: source and check symbols are single
-// memcpys, and RS tail parity rows are synthesized per index straight into
-// the caller's buffer (tail().encode_one over the last-level rows), so the
-// expensive tail matrix-multiply is paid only for tail symbols actually
-// requested — this is what makes time-to-first-symbol O(k) instead of the
-// whole-block O(k + tail * parity).
+// time of the paper's Table 1 — materializing the check levels (node rows
+// [k, node_count()), < k rows at stretch 2), then encodes the whole RS tail
+// parity once from the last level (tail().encode, an O(t log t) additive
+// FFT, a few percent of the XOR pass). After that every encoding symbol is
+// a single memcpy from the source, the check state or the tail parity.
 //
 // Invariants: `source` must be shaped for the cascade (k rows of
 // symbol_size() bytes; mismatches throw std::invalid_argument) and must
@@ -36,15 +33,17 @@ class CascadeEncoder final : public fec::BlockEncoder {
     return cascade_.encoded_count();
   }
   std::size_t symbol_size() const override { return cascade_.symbol_size(); }
-  std::size_t state_bytes() const override { return checks_.size_bytes(); }
+  std::size_t state_bytes() const override {
+    return checks_.size_bytes() + parity_.size_bytes();
+  }
 
   void write_symbol(std::uint32_t index, util::ByteSpan out) const override;
 
  private:
-  const Cascade& cascade_;      // borrowed; must outlive the encoder
+  const Cascade& cascade_;  // borrowed; must outlive the encoder
   util::ConstSymbolView source_;
-  util::SymbolMatrix checks_;   // node rows [k, node_count()), level order
-  util::ConstSymbolView tail_;  // last-level rows (the RS tail's source)
+  util::SymbolMatrix checks_;  // node rows [k, node_count()), level order
+  util::SymbolMatrix parity_;  // RS tail parity rows, in parity order
 };
 
 }  // namespace fountain::core

@@ -41,7 +41,7 @@ struct ReceivedSymbol {
 /// Stateful on-demand encoder for one transfer. Created by
 /// ErasureCode::make_encoder over a borrowed source view (the view must
 /// outlive the encoder); any per-transfer precomputation (e.g. the Tornado
-/// cascade pass) happens once at construction. After construction,
+/// cascade pass and tail parity) happens once at construction. After construction,
 /// write_symbol performs no hidden allocation: it writes straight into the
 /// caller's buffer, so a server can stream symbols at wire rate.
 ///
@@ -58,8 +58,8 @@ class BlockEncoder {
   virtual std::size_t symbol_size() const = 0;    // P bytes
 
   /// Bytes of encoder-owned symbol state beyond the borrowed source view
-  /// (e.g. the Tornado check levels). Diagnostic: lets benches verify the
-  /// O(n * P) -> O(k * P + state) memory claim.
+  /// (e.g. the Tornado check levels and tail parity). Diagnostic: lets
+  /// benches verify the O(n * P) -> O(k * P + state) memory claim.
   virtual std::size_t state_bytes() const { return 0; }
 
   /// Writes encoding symbol `index` into `out` (exactly symbol_size()

@@ -1,8 +1,8 @@
 // Systematic Cauchy Reed-Solomon erasure codec after Blomer, Kalfane,
 // Karpinski, Karp, Luby, Zuckerman, "An XOR-Based Erasure-Resilient Coding
-// Scheme" (ICSI TR-95-048) — the "Cauchy" column of the paper's Tables 2/3,
-// the per-block code of the interleaved baseline, and the tail code that
-// terminates the Tornado cascade.
+// Scheme" (ICSI TR-95-048) — the "Cauchy" column of the paper's Tables 2/3
+// and the per-block code of the interleaved baseline. (The Tornado cascade
+// closes with the O(n log n) FFT codec of gf/rs_fft.hpp instead.)
 //
 // The generator is the Cauchy matrix C[i][j] = 1/(y_i + x_j). Its key
 // advantage over Vandermonde for decoding is that every square submatrix is
@@ -23,7 +23,11 @@ namespace fountain::gf {
 
 /// Analytic inverse of the square Cauchy matrix A[i][j] = 1/(xs[j] + ys[i])
 /// (characteristic-2 field; all points pairwise distinct, xs disjoint from
-/// ys). Returns B with B * A = I. O(m^2).
+/// ys). Returns B with B * A = I. O(m^2), in the log domain: with
+///   u[j] = prod_k (x_j + y_k), v[j] = prod_{k != j} (x_j + x_k),
+///   s[i] = prod_k (x_k + y_i), t[i] = prod_{k != i} (y_i + y_k),
+/// B[j][i] = (u[j] / v[j]) * (s[i] / t[i]) / (x_j + y_i) is one exp of a sum
+/// of logs per entry.
 template <typename Field>
 Matrix<Field> cauchy_inverse(const std::vector<typename Field::Element>& xs,
                              const std::vector<typename Field::Element>& ys) {
@@ -32,33 +36,44 @@ Matrix<Field> cauchy_inverse(const std::vector<typename Field::Element>& xs,
   if (ys.size() != m || m == 0) {
     throw std::invalid_argument("cauchy_inverse: bad dimensions");
   }
-  // u[j] = prod_k (x_j + y_k); v[j] = prod_{k != j} (x_j + x_k)
-  // s[i] = prod_k (x_k + y_i); t[i] = prod_{k != i} (y_i + y_k)
-  std::vector<Element> u(m, Element{1});
-  std::vector<Element> v(m, Element{1});
-  std::vector<Element> s(m, Element{1});
-  std::vector<Element> t(m, Element{1});
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t kk = 0; kk < m; ++kk) {
-      u[j] = Field::mul(u[j], Field::add(xs[j], ys[kk]));
-      if (kk != j) v[j] = Field::mul(v[j], Field::add(xs[j], xs[kk]));
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < m; ++kk) {
-      s[i] = Field::mul(s[i], Field::add(xs[kk], ys[i]));
-      if (kk != i) t[i] = Field::mul(t[i], Field::add(ys[i], ys[kk]));
-    }
-  }
-  // B[j][i] = (u[j] * s[i]) / ((x_j + y_i) * v[j] * t[i])
-  // B's rows correspond to A's columns (the x points).
+  // Logs live mod the multiplicative group order q1 and fit an Element; a
+  // sum of m <= kOrder of them fits 64 bits unreduced.
+  constexpr std::uint64_t q1 = Field::kOrder - 1;
+  // b first holds log(x_j + y_i): its row sums are log u[j], its column
+  // sums log s[i].
   Matrix<Field> b(m, m);
+  std::vector<std::uint64_t> lu(m, 0), lv(m, 0), ls(m, 0), lt(m, 0);
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t i = 0; i < m; ++i) {
-      const Element numerator = Field::mul(u[j], s[i]);
-      const Element denominator = Field::mul(
-          Field::add(xs[j], ys[i]), Field::mul(v[j], t[i]));
-      b.at(j, i) = Field::div(numerator, denominator);
+      const unsigned l = Field::log(Field::add(xs[j], ys[i]));
+      b.at(j, i) = static_cast<Element>(l);
+      lu[j] += l;
+      ls[i] += l;
+    }
+  }
+  // v and t are products over symmetric pairs: each pair's log counts twice.
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t kk = j + 1; kk < m; ++kk) {
+      const unsigned lx = Field::log(Field::add(xs[j], xs[kk]));
+      lv[j] += lx;
+      lv[kk] += lx;
+      const unsigned ly = Field::log(Field::add(ys[j], ys[kk]));
+      lt[j] += ly;
+      lt[kk] += ly;
+    }
+  }
+  // log(s[i] / t[i]), offset by q1 so that every exponent below stays
+  // positive after subtracting log(x_j + y_i) < q1.
+  std::vector<std::uint64_t> col(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    col[i] = ls[i] % q1 + 2 * q1 - lt[i] % q1;
+  }
+  // B's rows correspond to A's columns (the x points).
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::uint64_t row = lu[j] % q1 + q1 - lv[j] % q1;  // log(u/v)
+    for (std::size_t i = 0; i < m; ++i) {
+      b.at(j, i) =
+          Field::exp(static_cast<unsigned>(row + col[i] - b.at(j, i)));
     }
   }
   return b;
@@ -88,13 +103,9 @@ class CauchyCodec {
   std::size_t source_count() const { return k_; }
   std::size_t parity_count() const { return parity_; }
 
-  Element coefficient(std::size_t parity_row, std::size_t source_col) const {
-    return gen_.at(parity_row, source_col);
-  }
-
   /// Views allow encoding straight out of / into row ranges of a larger
-  /// matrix (the Tornado tail encodes `encoding` rows in place with no
-  /// intermediate copies); SymbolMatrix arguments convert implicitly.
+  /// matrix (callers encode `encoding` rows in place with no intermediate
+  /// copies); SymbolMatrix arguments convert implicitly.
   /// Parity-row-major: each parity symbol is produced by one multi-row pass
   /// over all k sources (generator rows are contiguous, so they feed
   /// Field::fma_rows directly) — the destination tile stays L1-resident
@@ -114,8 +125,8 @@ class CauchyCodec {
     }
   }
 
-  /// Encodes a single parity symbol (used by the Tornado cascade tail and
-  /// the streaming encoders, where a specific parity index is requested).
+  /// Encodes a single parity symbol (used by the streaming encoders, where a
+  /// specific parity index is requested).
   void encode_one(util::ConstSymbolView source, std::size_t parity_row,
                   util::ByteSpan out) const {
     if (out.size() % Field::kSymbolAlignment != 0) {

@@ -41,10 +41,6 @@ class VandermondeCodec {
   std::size_t source_count() const { return k_; }
   std::size_t parity_count() const { return parity_; }
 
-  Element coefficient(std::size_t parity_row, std::size_t source_col) const {
-    return gen_.at(parity_row, source_col);
-  }
-
   /// Computes all parity symbols from the full source block. Takes views so
   /// callers can encode sub-ranges of a larger matrix in place.
   /// Parity-row-major: one cache-blocked multi-row pass per parity symbol

@@ -2,8 +2,8 @@
 // in this library. The paper's speed claim (Tables 2/3) rests on the XOR
 // inner loop; this layer makes that loop, the GF(2^8) multiply-accumulate
 // behind the Reed-Solomon codes, and the GF(2^16) multiply-accumulate behind
-// the Cauchy tail that closes every Tornado cascade, run as wide as the host
-// allows.
+// the GF(2^16) Reed-Solomon codes — among them the additive-FFT tail that
+// closes every Tornado cascade — run as wide as the host allows.
 //
 // Dispatch: an implementation table (`Ops`) per instruction-set tier —
 // GFNI -> AVX-512BW -> AVX2 -> SSE2 -> scalar on x86-64, NEON -> scalar on
@@ -81,8 +81,10 @@ struct Ops {
   void (*gf256_scale)(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx);
   /// dst ^= c * src over GF(2^16) (polynomial 0x1100B), both buffers read
   /// as host-order 16-bit words; n must be even. The per-constant tables or
-  /// matrices are derived from c inside the call (a Tornado tail has ~10^6
-  /// distinct generator coefficients, too many to keep a context for each).
+  /// matrices are derived from c inside the call: a GF(2^16) Cauchy
+  /// generator has k * parity distinct coefficients (~10^6 for a
+  /// 1024 x 1024 block), too many to keep a context for each, and the FFT
+  /// tail's butterfly skews differ block by block.
   void (*gf65536_fma)(std::uint8_t* dst, const std::uint8_t* src,
                       std::size_t n, std::uint16_t c);
 };

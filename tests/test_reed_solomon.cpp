@@ -1,13 +1,18 @@
 // Reed-Solomon codecs: systematic encode, MDS decode from arbitrary subsets,
-// agreement between Vandermonde, Cauchy and the XOR-only Cauchy variant, and
-// the ErasureCode adapters.
+// agreement between Vandermonde, Cauchy and the XOR-only Cauchy variant, the
+// log-domain Cauchy inverse, the additive-FFT codec that closes the Tornado
+// cascade, and the ErasureCode adapters.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 
 #include "fec/reed_solomon.hpp"
 #include "gf/cauchy_xor.hpp"
+#include "gf/rs_fft.hpp"
+#include "kern/kernels.hpp"
 #include "util/random.hpp"
 
 namespace fountain {
@@ -361,6 +366,289 @@ TEST(RsWrapper, DecoderResetReusesAcrossReceivers) {
     }
     ASSERT_TRUE(done) << receiver;
     EXPECT_EQ(util::SymbolMatrix(decoder->source()), source) << receiver;
+  }
+}
+
+/// The product formula of cauchy_inverse written out with field mul/div per
+/// entry — the reference the log-domain version must match exactly.
+template <typename Field>
+gf::Matrix<Field> cauchy_inverse_direct(
+    const std::vector<typename Field::Element>& xs,
+    const std::vector<typename Field::Element>& ys) {
+  using Element = typename Field::Element;
+  const std::size_t m = xs.size();
+  std::vector<Element> u(m, 1), v(m, 1), s(m, 1), t(m, 1);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t kk = 0; kk < m; ++kk) {
+      u[j] = Field::mul(u[j], Field::add(xs[j], ys[kk]));
+      if (kk != j) v[j] = Field::mul(v[j], Field::add(xs[j], xs[kk]));
+      s[j] = Field::mul(s[j], Field::add(xs[kk], ys[j]));
+      if (kk != j) t[j] = Field::mul(t[j], Field::add(ys[j], ys[kk]));
+    }
+  }
+  gf::Matrix<Field> b(m, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      b.at(j, i) = Field::div(
+          Field::mul(u[j], s[i]),
+          Field::mul(Field::add(xs[j], ys[i]), Field::mul(v[j], t[i])));
+    }
+  }
+  return b;
+}
+
+/// Random disjoint point sets (xs, ys) of size m, checked against the direct
+/// formula entry for entry and for B * A = I on `checked_rows` rows of B.
+template <typename Field>
+void check_cauchy_inverse(std::size_t m, std::size_t checked_rows,
+                          std::uint64_t seed) {
+  using Element = typename Field::Element;
+  util::Rng rng(seed);
+  const auto points = rng.permutation(Field::kOrder);
+  std::vector<Element> xs(m), ys(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    xs[i] = static_cast<Element>(points[i]);
+    ys[i] = static_cast<Element>(points[m + i]);
+  }
+  const gf::Matrix<Field> b = gf::cauchy_inverse<Field>(xs, ys);
+  ASSERT_EQ(b, cauchy_inverse_direct<Field>(xs, ys)) << "m=" << m;
+  // (B * A)[j][c] = sum_i B[j][i] / (x_c + y_i).
+  for (std::size_t r = 0; r < checked_rows; ++r) {
+    const std::size_t j = checked_rows >= m ? r : rng.below(m);
+    for (std::size_t c = 0; c < m; ++c) {
+      Element acc = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        acc = Field::add(acc, Field::div(b.at(j, i), Field::add(xs[c], ys[i])));
+      }
+      ASSERT_EQ(acc, j == c ? 1 : 0) << "m=" << m << " row " << j;
+    }
+  }
+}
+
+TEST(CauchyInverse, LogDomainMatchesDirectFormula) {
+  for (const std::size_t m : {1, 2, 3, 17, 128}) {
+    check_cauchy_inverse<gf::GF256>(m, m, 30 + m);
+  }
+  check_cauchy_inverse<gf::GF65536>(1, 1, 41);
+  check_cauchy_inverse<gf::GF65536>(17, 17, 42);
+  // Every entry is compared at m = 512; B * A = I on a sample of its rows.
+  check_cauchy_inverse<gf::GF65536>(512, 24, 43);
+}
+
+/// Encodes k random rows with the FFT tail codec.
+util::SymbolMatrix fft_encode(const gf::FftCodec& codec,
+                              const util::SymbolMatrix& source) {
+  util::SymbolMatrix parity(codec.parity_count(), source.symbol_size());
+  codec.encode(source, parity);
+  return parity;
+}
+
+/// The 16-bit word at `word` of row `r`, host order (the codec's view).
+std::uint16_t word_at(const util::SymbolMatrix& m, std::size_t r,
+                      std::size_t word) {
+  std::uint16_t w;
+  std::memcpy(&w, m.row(r).data() + 2 * word, 2);
+  return w;
+}
+
+TEST(FftTail, EncodeMatchesNaivePolynomialEvaluation) {
+  // Parity p must be D(p) for the unique D of degree < m through the points
+  // (m + j, source_j), zero at the padding points (m + j, j >= k).
+  // Evaluated here by Lagrange interpolation over that coset, O(m^2) per
+  // point and independent of the FFT basis.
+  using F = gf::GF65536;
+  constexpr std::size_t kWords = 3;
+  for (const auto& [k, parity] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {5, 4}, {8, 8}, {3, 7}, {16, 16}, {13, 11}, {2, 30}}) {
+    const gf::FftCodec codec(k, parity);
+    std::size_t m = 1;
+    while (m < std::max(k, parity)) m *= 2;
+    util::SymbolMatrix source(k, 2 * kWords);
+    source.fill_random(k * 100 + parity);
+    const auto out = fft_encode(codec, source);
+    for (std::size_t p = 0; p < parity; ++p) {
+      for (std::size_t w = 0; w < kWords; ++w) {
+        F::Element expect = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          const auto xj = static_cast<F::Element>(m + j);
+          F::Element weight = 1;
+          for (std::size_t o = 0; o < m; ++o) {
+            const auto xo = static_cast<F::Element>(m + o);
+            if (xo == xj) continue;
+            const auto xp = static_cast<F::Element>(p);
+            weight = F::mul(weight, F::div(F::add(xp, xo), F::add(xj, xo)));
+          }
+          expect = F::add(expect, F::mul(weight, word_at(source, j, w)));
+        }
+        ASSERT_EQ(word_at(out, p, w), expect)
+            << "k=" << k << " parity=" << parity << " p=" << p;
+      }
+    }
+  }
+}
+
+TEST(FftTail, EveryReceptionPatternDecodesOrThrows) {
+  // Every subset of the k + parity symbols: at least k decode exactly (with
+  // surplus parity whenever more than k arrive), fewer throw. Shapes with
+  // k != parity, neither a power of two, both below m = 8.
+  for (const auto& [k, parity] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {5, 3}, {3, 5}, {6, 5}}) {
+    const gf::FftCodec codec(k, parity);
+    util::SymbolMatrix source(k, 10);
+    source.fill_random(k * 10 + parity);
+    const auto encoded = fft_encode(codec, source);
+    const std::size_t n = k + parity;
+    for (unsigned mask = 0; mask < (1u << n); ++mask) {
+      util::SymbolMatrix work(k, 10);
+      std::vector<bool> have(k, false);
+      for (std::size_t i = 0; i < k; ++i) {
+        if ((mask >> i & 1) == 0) {
+          std::memset(work.row(i).data(), 0xEE, 10);  // poison
+          continue;
+        }
+        have[i] = true;
+        std::memcpy(work.row(i).data(), source.row(i).data(), 10);
+      }
+      std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> got;
+      for (std::size_t p = 0; p < parity; ++p) {
+        if ((mask >> (k + p) & 1) != 0) {
+          got.emplace_back(static_cast<std::uint32_t>(p), encoded.row(p));
+        }
+      }
+      if (static_cast<std::size_t>(__builtin_popcount(mask)) < k) {
+        EXPECT_THROW(codec.decode(work, have, got), std::invalid_argument)
+            << "mask " << mask;
+        continue;
+      }
+      codec.decode(work, have, got);
+      ASSERT_EQ(work, source) << "k=" << k << " parity=" << parity
+                              << " mask " << mask;
+    }
+  }
+}
+
+/// Erases `erasures` random source rows and decodes from `supplied` random
+/// parity rows (listed twice when `duplicate`, to show repeats count once).
+void fft_roundtrip(std::size_t k, std::size_t parity, std::size_t erasures,
+                   std::size_t supplied, std::uint64_t seed,
+                   bool duplicate = false) {
+  const gf::FftCodec codec(k, parity);
+  util::SymbolMatrix source(k, 64);
+  source.fill_random(seed);
+  const auto encoded = fft_encode(codec, source);
+  util::Rng rng(seed + 1);
+  util::SymbolMatrix damaged = source;
+  std::vector<bool> have(k, true);
+  const auto victims = rng.permutation(k);
+  for (std::size_t i = 0; i < erasures; ++i) {
+    have[victims[i]] = false;
+    std::memset(damaged.row(victims[i]).data(), 0xEE, 64);
+  }
+  std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> got;
+  const auto order = rng.permutation(parity);
+  for (std::size_t i = 0; i < supplied; ++i) {
+    got.emplace_back(order[i], encoded.row(order[i]));
+    if (duplicate) got.emplace_back(order[i], encoded.row(order[i]));
+  }
+  codec.decode(damaged, have, got);
+  EXPECT_EQ(damaged, source) << "k=" << k << " parity=" << parity
+                             << " erasures=" << erasures;
+}
+
+TEST(FftTail, RandomPatternsAtTornadoTailShapes) {
+  // (1024, 1024): the k = 16384 Tornado A tail; (263, 261): a 1 MB file of
+  // 500-byte packets. Exactly k symbols received, then surplus parity.
+  for (const std::size_t x : {1, 461, 1024}) {
+    fft_roundtrip(1024, 1024, x, x, 50 + x);
+  }
+  for (const std::size_t x : {1, 130, 261}) {
+    fft_roundtrip(263, 261, x, x, 60 + x);
+  }
+  fft_roundtrip(263, 261, 40, 261, 70);
+  fft_roundtrip(1024, 1024, 300, 700, 71, /*duplicate=*/true);
+}
+
+TEST(FftTail, NoErasuresIsNoop) {
+  const gf::FftCodec codec(7, 3);
+  util::SymbolMatrix source(7, 16);
+  source.fill_random(8);
+  util::SymbolMatrix copy = source;
+  codec.decode(copy, std::vector<bool>(7, true), {});
+  EXPECT_EQ(copy, source);
+}
+
+/// The error contract both tail codecs share: same exception types for
+/// bad constructor arguments, shapes, indices, payloads and too few symbols.
+template <typename Codec>
+void expect_tail_codec_errors() {
+  EXPECT_THROW(Codec(0, 4), std::invalid_argument);
+  EXPECT_THROW(Codec(4, 0), std::invalid_argument);
+  EXPECT_THROW(Codec(40000, 30000), std::invalid_argument);
+  const Codec codec(4, 4);
+  util::SymbolMatrix source(4, 16);
+  source.fill_random(1);
+  util::SymbolMatrix parity(4, 16);
+  util::SymbolMatrix short_parity(3, 16);
+  util::SymbolMatrix wide_parity(4, 18);
+  EXPECT_THROW(codec.encode(source, short_parity), std::invalid_argument);
+  EXPECT_THROW(codec.encode(source, wide_parity), std::invalid_argument);
+  util::SymbolMatrix odd_source(4, 15);
+  util::SymbolMatrix odd_parity(4, 15);
+  EXPECT_THROW(codec.encode(odd_source, odd_parity), std::invalid_argument);
+  codec.encode(source, parity);
+
+  std::vector<bool> have = {true, false, false, true};
+  util::SymbolMatrix work = source;
+  using Got = std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>;
+  EXPECT_THROW(codec.decode(work, have, Got{{0, parity.row(0)}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      codec.decode(work, have, Got{{0, parity.row(0)}, {4, parity.row(1)}}),
+      std::out_of_range);
+  util::SymbolMatrix wrong(1, 8);
+  EXPECT_THROW(
+      codec.decode(work, have, Got{{0, parity.row(0)}, {1, wrong.row(0)}}),
+      std::invalid_argument);
+  codec.decode(work, have, Got{{0, parity.row(0)}, {3, parity.row(3)}});
+  EXPECT_EQ(work, source);
+}
+
+TEST(FftTail, ErrorContractMatchesCauchy) {
+  expect_tail_codec_errors<gf::CauchyCodec<gf::GF65536>>();
+  expect_tail_codec_errors<gf::FftCodec>();
+  // The FFT codec's field limit is 2m <= 65536, m = pow2 >= max(k, parity).
+  EXPECT_NO_THROW(gf::FftCodec(32768, 32768));
+  EXPECT_THROW(gf::FftCodec(32769, 1), std::invalid_argument);
+}
+
+TEST(FftTail, IdenticalParityAndDecodeOnEveryKernelTier) {
+  // The butterflies fold through the dispatched kernels: every tier must
+  // encode the scalar tier's parity byte for byte and decode to the source.
+  // 1000-byte rows leave a partial vector step in every fold.
+  const gf::FftCodec codec(263, 261);
+  util::SymbolMatrix source(263, 1000);
+  source.fill_random(90);
+  ASSERT_TRUE(kern::set_isa_override(kern::Isa::kScalar));
+  const auto reference = fft_encode(codec, source);
+  kern::clear_isa_override();
+  for (const kern::Isa isa :
+       {kern::Isa::kScalar, kern::Isa::kSse2, kern::Isa::kAvx2,
+        kern::Isa::kAvx512, kern::Isa::kGfni, kern::Isa::kNeon}) {
+    if (kern::ops_for(isa) == nullptr) continue;
+    ASSERT_TRUE(kern::set_isa_override(isa));
+    EXPECT_EQ(fft_encode(codec, source), reference) << kern::isa_name(isa);
+    util::SymbolMatrix damaged = source;
+    std::vector<bool> have(263, true);
+    std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> got;
+    for (std::uint32_t j = 0; j < 100; ++j) {
+      have[2 * j + 1] = false;
+      got.emplace_back(2 * j + 3, reference.row(2 * j + 3));
+    }
+    codec.decode(damaged, have, got);
+    EXPECT_EQ(damaged, source) << kern::isa_name(isa);
+    kern::clear_isa_override();
   }
 }
 

@@ -137,7 +137,7 @@ TEST(Cascade, LevelLayoutAndExactStretch) {
   EXPECT_EQ(total, cascade.node_count());
   EXPECT_GE(cascade.parity_count(), 1u);
   EXPECT_EQ(cascade.graph_count() + 1, cascade.level_count());
-  // Tail stops near sqrt(k).
+  // The cascade stops at max(min_tail, min(k/8, 1024)).
   EXPECT_GE(cascade.tail_size(), 31u);
 }
 
@@ -230,7 +230,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16, 16, 'A')));  // RS-degenerate
 
 TEST(Tornado, FullBlockIsIdenticalOnEveryKernelTier) {
-  // The Cauchy tail's GF(2^16) folds run on the dispatched kernel tier, so
+  // The FFT tail's GF(2^16) butterflies run on the dispatched kernel tier, so
   // every tier must reproduce the scalar tier's encoding byte for byte and
   // rebuild the file from the same lossy stream. The 1000-byte symbols
   // leave a partial vector step at the end of every fold.
